@@ -13,34 +13,32 @@ TGDs, as witnessed by
   every shared term of ``b`` from its positions in ``a`` to its positions in
   ``b``.
 
-**Reading of the definition.**  The paper's Definition 5 literally places the
-existential quantifier over the chain *inside* the universal quantifier over
-the shared terms of ``b`` ("for each i ∈ [n]: ... there exists k and TGDs
-..."), i.e. each shared term may use its own chain.  That reading is unsound:
-with ``σA : p(X,Y) → ∃W r(X,W)`` and ``σB : p(X,Y) → ∃W r(W,Y)`` it would
-let ``p(A,B)`` cover ``r(A,B)``, although ``chase({p(a,b)})`` contains no atom
-``r(a,b)``.  We therefore require a *single common chain* for all shared
-terms of ``b`` (which also makes the final atom of the chain an atom of
-``pred(b)`` carrying all of them, exactly what the proof of Lemma 8 needs),
-and — when ``b`` has no shared terms at all — we still require *some* chain
-from ``pred(a)`` to ``pred(b)``, since otherwise the definition would be
-vacuously true and eliminate atoms of unrelated predicates.  Both choices are
-documented in DESIGN.md and covered by unit tests.
+We require a *single common chain* for all shared terms of ``b``, and some
+chain from ``pred(a)`` to ``pred(b)`` even when ``b`` has no shared terms;
+``docs/ARCHITECTURE.md`` (query elimination) gives the reasons.
+
+:meth:`CoverageChecker.cover_set` decides each atom pair behind two exact
+filters — predicate reachability and condition (i) — and memoises the chain
+search by the renaming-invariant shape of the pair;
+:meth:`CoverageChecker.covers` is the unmemoised per-pair reference that
+also returns the witness chain.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..logic.atoms import Atom, Position
+from ..logic.atoms import Atom, Position, Predicate
 from ..logic.terms import Term, is_constant
+from ..logic.unification import AtomProfile, atom_sequence_profile
 from ..dependencies.tgd import TGD
 from ..dependencies.classifiers import is_linear
 from ..queries.conjunctive_query import ConjunctiveQuery
 from .dependency_graph import DependencyGraph
-from .equality_types import eq_subset, equality_type
+from .equality_types import equality_type
 
 
 @dataclass(frozen=True)
@@ -55,10 +53,18 @@ class CoverageWitness:
 class CoverageChecker:
     """Decides the coverage relation ``≺`` for a fixed set of linear TGDs.
 
-    The dependency graph and per-rule equality types are computed once; each
-    ``covers(a, b, query)`` call then performs a breadth-first search over
-    chain states, which is polynomial for a fixed rule set (the paper treats
-    the rule set as fixed and calls the per-pair check constant-time).
+    The dependency graph, the per-rule equality types and the predicate
+    reachability closure are computed once.  ``covers(a, b, query)`` runs a
+    breadth-first search over chain states, polynomial for a fixed rule set;
+    ``cover_set`` answers most pairs without one (the filters and the memo
+    below), which is what makes the paper's constant-time-per-pair reading
+    hold in practice.
+
+    ``hits``/``misses`` count chain searches answered from the shape memo /
+    actually run; ``unreachable_pairs`` and ``condition_i_pairs`` count
+    pairs the two filters rejected before any search.  The memo and the
+    counters are shared by every thread expanding with this checker, so
+    they are updated under a lock.
     """
 
     def __init__(self, rules: Sequence[TGD], max_states: int = 100_000) -> None:
@@ -73,6 +79,42 @@ class CoverageChecker:
         self._rules = tuple(rules)
         self._graph = DependencyGraph(rules)
         self._max_states = max_states
+        # Chain steps per body predicate, in rule order: the rule, the
+        # equalities of eq(body(rule)), its head predicate and the
+        # equalities of eq(head(rule)).
+        self._steps: dict[Predicate, list[tuple[TGD, frozenset, Predicate, frozenset]]] = {}
+        for rule in self._rules:
+            body_atom, head_atom = rule.body[0], rule.head[0]
+            self._steps.setdefault(body_atom.predicate, []).append(
+                (
+                    rule,
+                    equality_type(body_atom).equalities,
+                    head_atom.predicate,
+                    equality_type(head_atom).equalities,
+                )
+            )
+        # _reaching[p]: the predicates from which a chain of one or more
+        # rules leads to p (transitive closure of the body -> head edges).
+        heads = {
+            body: {head for _, _, head, _ in steps} for body, steps in self._steps.items()
+        }
+        reaching: dict[Predicate, set[Predicate]] = {}
+        for source in heads:
+            pending, seen = [source], set()
+            while pending:
+                for head in heads.get(pending.pop(), ()):
+                    if head not in seen:
+                        seen.add(head)
+                        pending.append(head)
+            for target in seen:
+                reaching.setdefault(target, set()).add(source)
+        self._reaching = {target: frozenset(sources) for target, sources in reaching.items()}
+        self._memo: dict[AtomProfile, bool] = {}
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.unreachable_pairs = 0
+        self.condition_i_pairs = 0
 
     @property
     def graph(self) -> DependencyGraph:
@@ -84,6 +126,11 @@ class CoverageChecker:
         """The rule set."""
         return self._rules
 
+    @property
+    def memo_size(self) -> int:
+        """Number of distinct pair shapes in the memo."""
+        return len(self._memo)
+
     # -- the coverage relation ---------------------------------------------------
 
     def covers(
@@ -92,6 +139,7 @@ class CoverageChecker:
         """Return a witness for ``source ≺ target`` w.r.t. *query*, or ``None``.
 
         *source* and *target* must be distinct atoms of ``body(query)``.
+        Never memoised: this is the reference :meth:`cover_set` must agree with.
         """
         if source == target:
             return None
@@ -109,16 +157,68 @@ class CoverageChecker:
     def cover_set(
         self, target: Atom, query: ConjunctiveQuery
     ) -> frozenset[Atom]:
-        """``cover(target)``: the body atoms of *query* that cover *target*."""
-        return frozenset(
-            atom
-            for atom in query.body
-            if atom != target and self.covers(atom, target, query) is not None
-        )
+        """``cover(target)``: the body atoms of *query* that cover *target*.
+
+        Equal to ``{a ≠ target | covers(a, target, query)}``.  A pair is
+        rejected without search when no rule chain leads from ``pred(a)``
+        to ``pred(target)`` or when ``a`` misses a shared term of *target*
+        (condition (i)); otherwise the search outcome is memoised under
+        :func:`~repro.logic.unification.atom_sequence_profile` of
+        ``(a, target)`` with the query's shared variables marked, which
+        fixes every input the search reads.
+        """
+        sources = self._reaching.get(target.predicate, frozenset())
+        shared_terms: tuple[Term, ...] | None = None
+        covering: list[Atom] = []
+        unreachable = condition_i = hits = 0
+        for atom in query.body:
+            if atom == target:
+                continue
+            if atom.predicate not in sources:
+                unreachable += 1
+                continue
+            if shared_terms is None:
+                shared_terms = self._relevant_terms(target, query)
+            if not all(term in atom.terms for term in shared_terms):
+                condition_i += 1
+                continue
+            key = atom_sequence_profile((atom, target), marked=query.shared_variables)
+            covered = self._memo.get(key)
+            if covered is None:
+                covered = self._find_chain(atom, target, shared_terms) is not None
+                with self._lock:
+                    self._memo[key] = covered
+                    self.misses += 1
+            else:
+                hits += 1
+            if covered:
+                covering.append(atom)
+        with self._lock:
+            self.hits += hits
+            self.unreachable_pairs += unreachable
+            self.condition_i_pairs += condition_i
+        return frozenset(covering)
 
     def cover_sets(self, query: ConjunctiveQuery) -> dict[Atom, frozenset[Atom]]:
-        """The cover set of every body atom of *query*."""
-        return {atom: self.cover_set(atom, query) for atom in query.body}
+        """The cover set of every body atom of *query*.
+
+        A target whose predicate no body predicate reaches gets the empty
+        set without visiting its pairs one by one.
+        """
+        body_predicates = {atom.predicate for atom in query.body}
+        others = len(query.body) - 1
+        cover: dict[Atom, frozenset[Atom]] = {}
+        unreachable = 0
+        for target in query.body:
+            sources = self._reaching.get(target.predicate)
+            if sources is None or sources.isdisjoint(body_predicates):
+                cover[target] = frozenset()
+                unreachable += others
+            else:
+                cover[target] = self.cover_set(target, query)
+        with self._lock:
+            self.unreachable_pairs += unreachable
+        return cover
 
     # -- internals -------------------------------------------------------------------
 
@@ -126,13 +226,10 @@ class CoverageChecker:
         self, target: Atom, query: ConjunctiveQuery
     ) -> tuple[Term, ...]:
         """Shared variables and constants of *target* (the ``t1, ..., tn`` of Def. 5)."""
-        relevant: list[Term] = []
-        for term in target.terms:
-            if term in relevant:
-                continue
-            if is_constant(term) or query.is_shared(term):
-                relevant.append(term)
-        return tuple(relevant)
+        shared = query.shared_variables
+        return tuple(
+            dict.fromkeys(t for t in target.terms if is_constant(t) or t in shared)
+        )
 
     def _find_chain(
         self, source: Atom, target: Atom, shared_terms: Sequence[Term]
@@ -144,25 +241,23 @@ class CoverageChecker:
         start_positions: dict[Term, frozenset[Position]] = {
             term: source.positions_of(term) for term in shared_terms
         }
-        source_eq = equality_type(source)
+        source_eq = equality_type(source).equalities
 
-        def accepts(last_rule: TGD, reachable: dict[Term, frozenset[Position]]) -> bool:
-            head_atom = last_rule.head[0]
-            if head_atom.predicate != target.predicate:
+        def accepts(head: Predicate, reachable: dict[Term, frozenset[Position]]) -> bool:
+            if head != target.predicate:
                 return False
             return all(
                 target_positions[term] <= reachable[term] for term in shared_terms
             )
 
         # Initial expansion: chains of length one.
-        queue: deque[tuple[TGD, dict[Term, frozenset[Position]], tuple[TGD, ...]]] = deque()
+        queue: deque[
+            tuple[Predicate, frozenset, dict[Term, frozenset[Position]], tuple[TGD, ...]]
+        ] = deque()
         visited: set[tuple[TGD, tuple[frozenset[Position], ...]]] = set()
         explored = 0
-        for rule in self._rules:
-            body_atom = rule.body[0]
-            if body_atom.predicate != source.predicate:
-                continue
-            if not equality_type(body_atom).is_subset_of(source_eq):
+        for rule, body_eq, head, head_eq in self._steps.get(source.predicate, ()):
+            if not body_eq <= source_eq:
                 continue
             reachable = {
                 term: self._graph.successors(start_positions[term], rule)
@@ -173,21 +268,17 @@ class CoverageChecker:
                 continue
             visited.add(state_key)
             chain = (rule,)
-            if accepts(rule, reachable):
+            if accepts(head, reachable):
                 return chain
-            queue.append((rule, reachable, chain))
+            queue.append((head, head_eq, reachable, chain))
 
         while queue:
-            last_rule, reachable, chain = queue.popleft()
+            last_head, last_eq, reachable, chain = queue.popleft()
             explored += 1
             if explored > self._max_states:
                 return None
-            head_atom = last_rule.head[0]
-            for rule in self._rules:
-                body_atom = rule.body[0]
-                if body_atom.predicate != head_atom.predicate:
-                    continue
-                if not eq_subset(body_atom, head_atom):
+            for rule, body_eq, head, head_eq in self._steps.get(last_head, ()):
+                if not body_eq <= last_eq:
                     continue
                 next_reachable = {
                     term: self._graph.successors(reachable[term], rule)
@@ -203,9 +294,9 @@ class CoverageChecker:
                     continue
                 visited.add(state_key)
                 next_chain = chain + (rule,)
-                if accepts(rule, next_reachable):
+                if accepts(head, next_reachable):
                     return next_chain
-                queue.append((rule, next_reachable, next_chain))
+                queue.append((head, head_eq, next_reachable, next_chain))
         return None
 
 

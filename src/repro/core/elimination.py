@@ -63,23 +63,30 @@ class QueryEliminator:
         When *strategy* is ``None`` the body order of the query is used; by
         Lemma 9 every strategy removes the same number of atoms.
         """
-        order = tuple(strategy) if strategy is not None else tuple(query.body)
-        if set(order) != set(query.body):
-            raise ValueError("the elimination strategy must be a permutation of the body")
+        if strategy is None:
+            order = query.body
+        else:
+            order = tuple(strategy)
+            if len(order) != len(query.body) or set(order) != set(query.body):
+                raise ValueError(
+                    "the elimination strategy must be a permutation of the body"
+                )
         cover = {
-            atom: set(self._checker.cover_set(atom, query)) for atom in query.body
+            atom: set(covering)
+            for atom, covering in self._checker.cover_sets(query).items()
+            if covering
         }
         eliminated: list[Atom] = []
         for atom in order:
-            if cover[atom]:
+            if cover.get(atom):
                 eliminated.append(atom)
-                for other in query.body:
-                    if other not in eliminated:
-                        cover[other].discard(atom)
-        reduced = query.drop_atoms(eliminated)
+                for other_cover in cover.values():
+                    other_cover.discard(atom)
         return EliminationResult(
             original=query,
-            reduced=reduced,
+            # Nothing covered: keep the query object (and its cached
+            # properties) rather than rebuilding an equal one.
+            reduced=query.drop_atoms(eliminated) if eliminated else query,
             eliminated=tuple(eliminated),
             strategy=order,
         )

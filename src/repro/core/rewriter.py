@@ -298,6 +298,11 @@ class TGDRewriter:
         return self._eliminator is not None
 
     @property
+    def eliminator(self) -> QueryEliminator | None:
+        """The query eliminator (its checker holds the coverage memo), if active."""
+        return self._eliminator
+
+    @property
     def uses_memoisation(self) -> bool:
         """``True`` iff the rename-apart pool and applicability memo are active."""
         return self._applicability_memo is not None

@@ -98,13 +98,24 @@ def _render_cq(
 ) -> str:
     """Shared SELECT-FROM-WHERE renderer behind both public forms.
 
-    *render_constant* is called for every constant occurrence, in the
-    deterministic left-to-right order of the query body followed by the
-    answer terms — the parameterized form relies on that order to line up
-    its ``?`` placeholders with the collected parameter list.
+    *render_constant* is called for every constant occurrence in the order
+    the rendered text shows them — the answer terms (the ``SELECT`` list)
+    first, then the query body left to right — because the parameterized
+    form relies on that order to line up its ``?`` placeholders with the
+    collected parameter list.
     """
     if not query.body:
         raise ValueError("cannot translate a query with an empty body to SQL")
+    names = list(answer_names) if answer_names is not None else [
+        f"a{i}" for i in range(1, query.arity + 1)
+    ]
+    if len(names) != query.arity:
+        raise ValueError("answer_names must match the query arity")
+    answer_constants = {
+        index: render_constant(term)
+        for index, term in enumerate(query.answer_terms)
+        if is_constant(term)
+    }
     aliases: list[tuple[str, str]] = []  # (alias, relation name)
     variable_columns: dict[Term, str] = {}
     conditions: list[str] = []
@@ -129,16 +140,10 @@ def _render_cq(
                 else:
                     conditions.append(f"{first} = {column}")
 
-    names = list(answer_names) if answer_names is not None else [
-        f"a{i}" for i in range(1, query.arity + 1)
-    ]
-    if len(names) != query.arity:
-        raise ValueError("answer_names must match the query arity")
-
     select_items: list[str] = []
-    for name, term in zip(names, query.answer_terms):
+    for index, (name, term) in enumerate(zip(names, query.answer_terms)):
         if is_constant(term):
-            select_items.append(f"{render_constant(term)} AS {_identifier(name)}")
+            select_items.append(f"{answer_constants[index]} AS {_identifier(name)}")
         else:
             column = variable_columns.get(term)
             if column is None:

@@ -1,4 +1,4 @@
-"""The differential harness: three oracles per generated triple.
+"""The differential harness: four oracles per generated triple.
 
 For a triple ``(theory, query, instance)`` the :class:`DifferentialOracle`
 asserts:
@@ -17,12 +17,18 @@ asserts:
 3. **determinism** — every :class:`~repro.scheduling.SchedulingStrategy`,
    plus a persistent-store round-trip, produces a byte-identical
    rewriting (canonical JSON of the serialised result).
+4. **elimination** — on linear theories, ``TGD-rewrite*`` (query
+   elimination on) returns the same answers as ``TGD-rewrite`` on the
+   case instance, with no more CQs, and byte-identically under every
+   compared strategy.
 
 Fault injection: a ``rewriting_mutator`` hook transforms every computed
-rewriting *uniformly* (so the determinism oracle stays quiet) before the
-answers are computed — a planted bug in the rewriting is then caught by
-the chase oracle, which is how ``tests/fuzzing/test_shrink.py`` exercises
-the shrinker end to end.
+``TGD-rewrite`` rewriting *uniformly* (so the determinism oracle stays
+quiet) before the answers are computed — a planted bug in the rewriting is
+then caught by the chase oracle, which is how
+``tests/fuzzing/test_shrink.py`` exercises the shrinker end to end.  The
+elimination oracle's ``TGD-rewrite*`` runs are never mutated: they are the
+independent side of that comparison.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ DEFAULT_BACKENDS = ("memory", "sqlite")
 class OracleFailure:
     """One oracle's disagreement on one case."""
 
-    oracle: str  # "chase" | "backends" | "determinism" | "maintenance"
+    oracle: str  # "chase" | "backends" | "determinism" | "elimination" | "maintenance"
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -75,7 +81,7 @@ class OracleFailure:
 
 @dataclass
 class OracleVerdict:
-    """Outcome of running all three oracles on one case."""
+    """Outcome of running all oracles on one case."""
 
     case: GeneratedCase
     failures: list[OracleFailure] = field(default_factory=list)
@@ -171,7 +177,7 @@ def _chase_answers(query: ConjunctiveQuery, atoms) -> frozenset[tuple]:
 
 
 class DifferentialOracle:
-    """Runs the three oracles of the fuzzing gate on generated cases.
+    """Runs the oracles of the fuzzing gate on generated cases.
 
     Parameters
     ----------
@@ -191,7 +197,7 @@ class DifferentialOracle:
         approximation and the oracle weakens to a subset check.
     rewriting_mutator:
         Optional fault-injection hook ``UCQ -> UCQ`` applied uniformly to
-        every computed rewriting (see the module docstring).
+        every computed ``TGD-rewrite`` rewriting (see the module docstring).
     mutation_steps:
         Length of the seeded insert/delete mutation sequence the
         incremental-maintenance oracle drives per case (0 disables it).
@@ -234,19 +240,20 @@ class DifferentialOracle:
         """Backend names the agreement oracle compares."""
         return self._backends
 
-    # -- the three oracles -------------------------------------------------
+    # -- the oracles -------------------------------------------------------
 
     def check(self, case: GeneratedCase) -> OracleVerdict:
-        """Run all three oracles on one case."""
+        """Run all oracles on one case."""
         verdict = OracleVerdict(case=case)
         rules = list(case.theory.tgds)
 
         counting = GenerationCountingStrategy()
         try:
-            reference = self._rewrite(rules, case.query, counting)
+            plain = self._rewrite(rules, case.query, counting)
         except RewritingBudgetExceeded:
             verdict.skipped = f"rewriting budget ({self._max_queries}) exceeded"
             return verdict
+        reference = self._mutated(plain)
         verdict.generations = counting.generations
         verdict.rewriting_size = len(reference.ucq)
 
@@ -255,6 +262,8 @@ class DifferentialOracle:
             verdict.rewrite_answers = len(backend_answers)
             self._chase_oracle(verdict, backend_answers, case)
         self._determinism_oracle(verdict, reference, rules, case)
+        if backend_answers is not None and case.theory.classification.linear:
+            self._elimination_oracle(verdict, len(plain.ucq), backend_answers, rules, case)
         if self._mutation_steps > 0:
             self._maintenance_oracle(verdict, reference.ucq, case)
         return verdict
@@ -270,12 +279,18 @@ class DifferentialOracle:
 
     # -- internals ---------------------------------------------------------
 
-    def _rewrite(self, rules, query, strategy) -> RewritingResult:
-        engine = TGDRewriter(rules, max_queries=self._max_queries)
-        result = engine.rewrite(query, strategy=strategy)
-        if self._mutator is not None:
-            result = dataclasses.replace(result, ucq=self._mutator(result.ucq))
-        return result
+    def _rewrite(
+        self, rules, query, strategy, use_elimination: bool = False
+    ) -> RewritingResult:
+        engine = TGDRewriter(
+            rules, max_queries=self._max_queries, use_elimination=use_elimination
+        )
+        return engine.rewrite(query, strategy=strategy)
+
+    def _mutated(self, result: RewritingResult) -> RewritingResult:
+        if self._mutator is None:
+            return result
+        return dataclasses.replace(result, ucq=self._mutator(result.ucq))
 
     def _backend_oracle(
         self,
@@ -284,14 +299,9 @@ class DifferentialOracle:
         case: GeneratedCase,
     ) -> frozenset[tuple] | None:
         """All backends agree; returns the first backend's answers."""
-        answers: list[tuple[str, frozenset[tuple]]] = []
-        for name in self._backends:
-            backend = create_backend(name)
-            try:
-                plan = backend.prepare(ucq)
-                answers.append((name, plan.execute(case.instance)))
-            finally:
-                backend.close()
+        answers = [
+            (name, self._answers(name, ucq, case)) for name in self._backends
+        ]
         reference_name, reference = answers[0]
         for name, other in answers[1:]:
             if other != reference:
@@ -302,6 +312,16 @@ class DifferentialOracle:
                     )
                 )
         return reference
+
+    @staticmethod
+    def _answers(
+        backend_name: str, ucq: UnionOfConjunctiveQueries, case: GeneratedCase
+    ) -> frozenset[tuple]:
+        backend = create_backend(backend_name)
+        try:
+            return backend.prepare(ucq).execute(case.instance)
+        finally:
+            backend.close()
 
     def _chase_oracle(
         self,
@@ -367,7 +387,7 @@ class DifferentialOracle:
         for name in self._strategies:
             strategy = create_strategy(name)
             try:
-                result = self._rewrite(rules, case.query, strategy)
+                result = self._mutated(self._rewrite(rules, case.query, strategy))
             finally:
                 strategy.close()
             produced = _canonical_bytes(result)
@@ -380,6 +400,77 @@ class DifferentialOracle:
                     )
                 )
         self._store_round_trip(verdict, reference, rules, case, expected)
+
+    def _elimination_oracle(
+        self,
+        verdict: OracleVerdict,
+        plain_size: int,
+        reference_answers: frozenset[tuple],
+        rules,
+        case: GeneratedCase,
+    ) -> None:
+        """``TGD-rewrite*`` agrees with ``TGD-rewrite`` (linear theories only).
+
+        Query elimination drops only atoms implied by another atom of the
+        same query (Lemma 8), so the answers on the case instance must not
+        change and the rewriting must not grow past the unmutated
+        ``TGD-rewrite`` size *plain_size*; the eliminated rewriting must
+        also be byte-identical under every compared strategy.
+        """
+        produced: list[tuple[str, str]] = []
+        for name in self._strategies:
+            strategy = create_strategy(name)
+            try:
+                result = self._rewrite(rules, case.query, strategy, use_elimination=True)
+            except RewritingBudgetExceeded:
+                verdict.failures.append(
+                    OracleFailure(
+                        "elimination",
+                        f"strategy {name!r} exceeded the rewriting budget "
+                        f"({self._max_queries}) that TGD-rewrite met",
+                    )
+                )
+                return
+            finally:
+                strategy.close()
+            if not produced:
+                if len(result.ucq) > plain_size:
+                    verdict.failures.append(
+                        OracleFailure(
+                            "elimination",
+                            f"TGD-rewrite* produced {len(result.ucq)} CQs, "
+                            f"more than TGD-rewrite's {plain_size}",
+                        )
+                    )
+                answers = self._answers(self._backends[0], result.ucq, case)
+                if answers != reference_answers:
+                    verdict.failures.append(
+                        OracleFailure(
+                            "elimination",
+                            format_answer_diff(
+                                "TGD-rewrite*", answers, "TGD-rewrite", reference_answers
+                            ),
+                        )
+                    )
+            try:
+                produced.append((name, _canonical_bytes(result)))
+            except UnserializableQueryError:
+                verdict.failures.append(
+                    OracleFailure(
+                        "elimination", "TGD-rewrite* rewriting is not serialisable"
+                    )
+                )
+                return
+        expected = produced[0][1]
+        for name, other in produced[1:]:
+            if other != expected:
+                verdict.failures.append(
+                    OracleFailure(
+                        "elimination",
+                        f"strategy {name!r} produced a different TGD-rewrite* "
+                        f"rewriting than {produced[0][0]!r}",
+                    )
+                )
 
     def _maintenance_oracle(
         self,

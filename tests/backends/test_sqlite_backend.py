@@ -62,6 +62,27 @@ class TestSQLiteExecution:
         assert system.answer(query, backend="sqlite").tuples == frozenset()
         system.close()
 
+    def test_constant_answer_with_constant_selection_matches_memory(self):
+        # A rewriting step can bind an answer variable to a constant while
+        # the body keeps another one: the two placeholders must not swap.
+        database = RelationalInstance(
+            facts=[Atom.of("p1", Constant("c10")), Atom.of("p0", Constant("c3"))]
+        )
+        ucq = UnionOfConjunctiveQueries(
+            [
+                ConjunctiveQuery(
+                    [Atom.of("p1", Constant("c10")), Atom.of("p0", Constant("c3"))],
+                    (Constant("c3"),),
+                )
+            ]
+        )
+        answers = {}
+        for name in ("memory", "sqlite"):
+            backend = create_backend(name)
+            answers[name] = backend.prepare(ucq).execute(database)
+            backend.close()
+        assert answers["sqlite"] == answers["memory"] == frozenset({(Constant("c3"),)})
+
     def test_labelled_nulls_join_but_never_answer(self):
         database = RelationalInstance(
             [

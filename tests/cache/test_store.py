@@ -1,5 +1,6 @@
 """RewritingStore behaviour: persistence, varianthood, versioning, pruning."""
 
+import hashlib
 import json
 
 from repro.cache.fingerprint import theory_fingerprint
@@ -9,6 +10,7 @@ from repro.dependencies.tgd import tgd
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Variable
 from repro.queries.parser import parse_query
+from repro.workloads import get_workload
 
 X, Z = Variable("X"), Variable("Z")
 RULES = (
@@ -233,3 +235,24 @@ class TestTornRecordValidation:
         assert reopened.get(first, FINGERPRINT) is None
         assert reopened.get(second, FINGERPRINT) is not None
         assert reopened.statistics.skipped_records == 0
+
+
+class TestEliminationStoreBytes:
+    """Query elimination's filters and memo change no byte of a stored NY* rewriting."""
+
+    #: sha256 of ``rewritings.jsonl`` after the puts below, taken before the
+    #: coverage memo and its filters existed.
+    P5_NY_STAR_DIGEST = (
+        "51b455b6a5f9a9f54a9c6d05bfb9df97bf45befcc5deae43c9a3bef9dfd31840"
+    )
+
+    def test_p5_ny_star_store_digest_is_pinned(self, tmp_path):
+        workload = get_workload("P5")
+        fingerprint = theory_fingerprint(workload.theory.tgds, use_elimination=True)
+        engine = TGDRewriter(workload.theory, use_elimination=True)
+        store = RewritingStore(tmp_path)
+        for name in ("q1", "q2", "q3", "q4", "q5"):
+            query = workload.query(name)
+            assert store.put(query, fingerprint, engine.rewrite(query))
+        data = (tmp_path / RewritingStore.FILENAME).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.P5_NY_STAR_DIGEST

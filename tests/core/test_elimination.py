@@ -84,6 +84,20 @@ class TestEliminatorValidation:
         with pytest.raises(ValueError):
             eliminator.eliminate_atoms(query, strategy=query.body[:1])
 
+    def test_strategy_repeating_an_atom_is_rejected(self):
+        # [r, p, r, s] has the body's atom set but is not a permutation; it
+        # used to eliminate r twice.
+        eliminator = QueryEliminator(example6_rules())
+        query = example7_query()
+        p_atom, r_atom, s_atom = query.body
+        with pytest.raises(ValueError):
+            eliminator.eliminate_atoms(query, strategy=[r_atom, p_atom, r_atom, s_atom])
+
+    def test_query_without_redundancy_is_returned_as_is(self):
+        eliminator = QueryEliminator(example6_rules())
+        query = ConjunctiveQuery([Atom.of("p", A, B), Atom.of("r", B, A, C)], ())
+        assert eliminator.eliminate_atoms(query).reduced is query
+
     def test_query_without_redundancy_is_unchanged(self):
         # The arguments of r are swapped w.r.t. what σ1 would produce, and the
         # equality type of body(σ2) requires the constant c at r[3], so no

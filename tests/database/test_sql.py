@@ -214,6 +214,21 @@ class TestParameterizedSQL:
         assert "? AS a1" in statement.sql
         assert statement.parameters == (Constant("fixed"),)
 
+    def test_answer_constants_precede_body_constants(self):
+        # The SELECT list is rendered before the WHERE clause, so its
+        # placeholders must come first in the parameter list too.
+        ucq = UnionOfConjunctiveQueries(
+            [
+                ConjunctiveQuery(
+                    [Atom.of("list_comp", A, Constant("nasdaq"))],
+                    (Constant("fixed"),),
+                )
+            ]
+        )
+        statement = ucq_to_parameterized_sql(ucq, SCHEMA)
+        assert statement.sql.index("? AS a1") < statement.sql.index("= ?")
+        assert statement.parameters == (Constant("fixed"), Constant("nasdaq"))
+
     def test_empty_ucq_is_rejected(self):
         with pytest.raises(ValueError):
             ucq_to_parameterized_sql([], SCHEMA)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.coverage import CoverageChecker
 from repro.fuzzing.generator import GeneratorConfig, WorkloadGenerator
 from repro.fuzzing.oracle import (
     DifferentialOracle,
@@ -68,6 +69,31 @@ class TestPlantedBug:
         case, _ = self._failing_case(buggy)
         failure = buggy.failure(case)
         assert failure is not None and failure.oracle == "chase"
+
+
+class TestEliminationLeg:
+    def test_unsound_elimination_is_caught_by_the_elimination_oracle(self, monkeypatch):
+        # Plant a bug only TGD-rewrite* can see: coverage decided by
+        # condition (i) alone, without the chain of condition (ii).
+        def condition_i_only(self, target, query):
+            shared = self._relevant_terms(target, query)
+            return frozenset(
+                atom
+                for atom in query.body
+                if atom != target and all(term in atom.terms for term in shared)
+            )
+
+        monkeypatch.setattr(CoverageChecker, "cover_set", condition_i_only)
+        oracle = DifferentialOracle(strategies=("sequential",))
+        config = GeneratorConfig(fragment="linear")
+        for case in WorkloadGenerator(seed=42, config=config).cases(20):
+            verdict = oracle.check(case)
+            if not verdict.ok:
+                assert {f.oracle for f in verdict.failures} == {"elimination"}, (
+                    verdict.summary()
+                )
+                return
+        pytest.fail("no generated case exposed the planted elimination bug")
 
 
 class TestOracleConfig:
