@@ -443,7 +443,7 @@ def _cmd_answer(arguments: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(arguments: argparse.Namespace) -> int:
-    """Differential fuzzing: generate triples, hold them to the three oracles."""
+    """Differential fuzzing: generate triples, hold them to the oracles."""
     from .fuzzing import (
         FRAGMENTS,
         DifferentialOracle,
@@ -535,6 +535,7 @@ def _cmd_fuzz(arguments: argparse.Namespace) -> int:
 def _cmd_serve(arguments: argparse.Namespace) -> int:
     """Run the multi-tenant HTTP/JSON serving front end until interrupted."""
     import asyncio
+    import signal
 
     from .serving import ResilienceConfig, ServingApp, ServingServer
 
@@ -587,13 +588,25 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
         cache_note = (
             f"cache {arguments.cache}" if arguments.cache else "memory-only"
         )
+        serving = asyncio.ensure_future(server.serve_forever())
+        # SIGINT and SIGTERM end serving and start the graceful stop below.
+        # The handlers live on the loop, so they also work when SIGINT came
+        # in ignored (a server started in the background by a shell), and
+        # are in place before the banner announces the port.  They are
+        # dropped once shutdown begins: a second signal stops at once.
+        loop = asyncio.get_running_loop()
+        signals = (signal.SIGINT, signal.SIGTERM)
+        for signum in signals:
+            loop.add_signal_handler(signum, serving.cancel)
         print(f"# serving on http://{arguments.host}:{server.port} ({cache_note})")
         try:
-            await server.serve_forever()
+            await serving
         except (KeyboardInterrupt, asyncio.CancelledError):
             pass
         finally:
-            print("# shutting down")
+            for signum in signals:
+                loop.remove_signal_handler(signum)
+            print("# shutting down", flush=True)
             await server.stop()
         return 0
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..logic.homomorphism import has_homomorphism
 from ..dependencies.constraints import NegativeConstraint
 from ..queries.conjunctive_query import ConjunctiveQuery
+from ..queries.containment import body_maps_into, body_predicates
 
 
 class NegativeConstraintPruner:
@@ -25,6 +25,10 @@ class NegativeConstraintPruner:
 
     def __init__(self, constraints: Iterable[NegativeConstraint]) -> None:
         self._constraints = tuple(constraints)
+        self._checks = tuple(
+            (constraint, body_predicates(constraint.body))
+            for constraint in self._constraints
+        )
 
     @property
     def constraints(self) -> tuple[NegativeConstraint, ...]:
@@ -34,13 +38,15 @@ class NegativeConstraintPruner:
     def violated_by(self, query: ConjunctiveQuery) -> NegativeConstraint | None:
         """Return a constraint whose body maps into ``body(query)``, if any.
 
-        The query's terms are frozen (its variables act as constants of the
-        canonical database), so the check is exactly "does the BCQ of the
-        constraint answer positively on the canonical database of the query".
+        This answers the constraint's BCQ on the canonical database of the
+        query, through :func:`repro.queries.containment.body_maps_into`:
+        the query body is searched unfrozen (exact, see there), and only
+        for constraints whose body predicates, precomputed here, all occur
+        in it — the query's predicate set is built once per call.
         """
-        frozen_body, _ = query.freeze()
-        for constraint in self._constraints:
-            if has_homomorphism(constraint.body, frozen_body):
+        present = body_predicates(query.body)
+        for constraint, predicates in self._checks:
+            if body_maps_into(constraint, query, predicates, present):
                 return constraint
         return None
 

@@ -303,6 +303,11 @@ class TGDRewriter:
         return self._eliminator
 
     @property
+    def pruner(self) -> NegativeConstraintPruner | None:
+        """The negative-constraint pruner, if active."""
+        return self._pruner
+
+    @property
     def uses_memoisation(self) -> bool:
         """``True`` iff the rename-apart pool and applicability memo are active."""
         return self._applicability_memo is not None

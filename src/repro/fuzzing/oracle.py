@@ -1,4 +1,4 @@
-"""The differential harness: four oracles per generated triple.
+"""The differential harness: the oracles every generated triple must pass.
 
 For a triple ``(theory, query, instance)`` the :class:`DifferentialOracle`
 asserts:
@@ -21,14 +21,19 @@ asserts:
    elimination on) returns the same answers as ``TGD-rewrite`` on the
    case instance, with no more CQs, and byte-identically under every
    compared strategy.
+5. **constraints** — with up to two negative constraints derived from the
+   case (:func:`derive_constraints`; each one the case instance
+   satisfies), NC pruning (Section 5.1) keeps the answers on the case
+   instance, returns no more CQs, and is byte-identical under every
+   compared strategy.
 
 Fault injection: a ``rewriting_mutator`` hook transforms every computed
 ``TGD-rewrite`` rewriting *uniformly* (so the determinism oracle stays
 quiet) before the answers are computed — a planted bug in the rewriting is
 then caught by the chase oracle, which is how
 ``tests/fuzzing/test_shrink.py`` exercises the shrinker end to end.  The
-elimination oracle's ``TGD-rewrite*`` runs are never mutated: they are the
-independent side of that comparison.
+elimination and constraint oracles' runs are never mutated: they are the
+independent side of their comparisons.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from ..cache.serialization import UnserializableQueryError, result_to_json
 from ..cache.store import RewritingStore
 from ..chase.chase import chase
 from ..core.rewriter import RewritingBudgetExceeded, RewritingResult, TGDRewriter
+from ..dependencies.constraints import NegativeConstraint
+from ..dependencies.theory import OntologyTheory
 from ..database.evaluator import evaluate_ucq
 from ..database.instance import RelationalInstance
 from ..incremental import MaintainedAnswerSet
@@ -72,7 +79,7 @@ DEFAULT_BACKENDS = ("memory", "sqlite")
 class OracleFailure:
     """One oracle's disagreement on one case."""
 
-    oracle: str  # "chase" | "backends" | "determinism" | "elimination" | "maintenance"
+    oracle: str  # "chase" | "backends" | "determinism" | "elimination" | "constraints" | "maintenance"
     detail: str
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -89,6 +96,8 @@ class OracleVerdict:
     generations: int = 0
     rewriting_size: int = 0
     rewrite_answers: int = 0
+    #: CQs the constraint oracle's derived NCs pruned (0 when none was kept).
+    pruned_by_constraints: int = 0
 
     @property
     def ok(self) -> bool:
@@ -174,6 +183,57 @@ def _chase_answers(query: ConjunctiveQuery, atoms) -> frozenset[tuple]:
         if all(is_constant(value) for value in answer):
             answers.add(answer)
     return frozenset(answers)
+
+
+#: Candidate NC bodies tried per case, and NCs kept at most.
+CONSTRAINT_CANDIDATES = 6
+MAX_CONSTRAINTS = 2
+
+
+def derive_constraints(
+    case: GeneratedCase, ucq: UnionOfConjunctiveQueries
+) -> list[NegativeConstraint]:
+    """Up to two negative constraints the case instance satisfies.
+
+    Candidate bodies come from *ucq*, the case's ``TGD-rewrite``
+    rewriting, last CQ first: every pair of atoms of a CQ that share a
+    variable, or the CQ's first atom when no pair does.  A CQ embedding
+    such a body is exactly what pruning drops, so kept constraints do
+    prune.  A candidate is kept only if
+    :meth:`repro.api.OBDASystem.check_consistency` accepts the case
+    instance under the case's TGDs plus that constraint — the standing
+    assumption under which pruning keeps the answers.  The derivation
+    reads the case and its rewriting only (lists, in order), so it is
+    deterministic and leaves ``case(i)`` as generated.
+    """
+    from ..api import OBDASystem
+
+    candidates: list[tuple[Atom, ...]] = []
+    for query in reversed(list(ucq)):
+        body = query.body
+        pairs = [
+            (first, second)
+            for index, first in enumerate(body)
+            for second in body[index + 1:]
+            if first.variables() & second.variables()
+        ]
+        for candidate in pairs or [body[:1]]:
+            if candidate and candidate not in candidates:
+                candidates.append(candidate)
+        if len(candidates) >= CONSTRAINT_CANDIDATES:
+            break
+    kept: list[NegativeConstraint] = []
+    for index, body in enumerate(candidates[:CONSTRAINT_CANDIDATES]):
+        constraint = NegativeConstraint(body, label=f"fuzz{index}")
+        theory = OntologyTheory(
+            tgds=list(case.theory.tgds), negative_constraints=[constraint]
+        )
+        with OBDASystem(theory, database=case.instance, use_elimination=False) as system:
+            if system.is_consistent():
+                kept.append(constraint)
+        if len(kept) == MAX_CONSTRAINTS:
+            break
+    return kept
 
 
 class DifferentialOracle:
@@ -262,8 +322,23 @@ class DifferentialOracle:
             verdict.rewrite_answers = len(backend_answers)
             self._chase_oracle(verdict, backend_answers, case)
         self._determinism_oracle(verdict, reference, rules, case)
-        if backend_answers is not None and case.theory.classification.linear:
-            self._elimination_oracle(verdict, len(plain.ucq), backend_answers, rules, case)
+        if backend_answers is not None:
+            if case.theory.classification.linear:
+                self._optimisation_oracle(
+                    verdict, "elimination", "TGD-rewrite*", len(plain.ucq),
+                    backend_answers, rules, case, use_elimination=True,
+                )
+            constraints = derive_constraints(case, plain.ucq)
+            if constraints:
+                pruned = self._optimisation_oracle(
+                    verdict, "constraints", "NC-pruned TGD-rewrite",
+                    len(plain.ucq), backend_answers, rules, case,
+                    negative_constraints=constraints,
+                )
+                if pruned is not None:
+                    verdict.pruned_by_constraints = (
+                        pruned.statistics.pruned_by_constraints
+                    )
         if self._mutation_steps > 0:
             self._maintenance_oracle(verdict, reference.ucq, case)
         return verdict
@@ -280,10 +355,19 @@ class DifferentialOracle:
     # -- internals ---------------------------------------------------------
 
     def _rewrite(
-        self, rules, query, strategy, use_elimination: bool = False
+        self,
+        rules,
+        query,
+        strategy,
+        use_elimination: bool = False,
+        negative_constraints: Sequence[NegativeConstraint] = (),
     ) -> RewritingResult:
         engine = TGDRewriter(
-            rules, max_queries=self._max_queries, use_elimination=use_elimination
+            rules,
+            negative_constraints=negative_constraints,
+            max_queries=self._max_queries,
+            use_elimination=use_elimination,
+            use_nc_pruning=bool(negative_constraints),
         )
         return engine.rewrite(query, strategy=strategy)
 
@@ -401,44 +485,56 @@ class DifferentialOracle:
                 )
         self._store_round_trip(verdict, reference, rules, case, expected)
 
-    def _elimination_oracle(
+    def _optimisation_oracle(
         self,
         verdict: OracleVerdict,
+        oracle: str,
+        label: str,
         plain_size: int,
         reference_answers: frozenset[tuple],
         rules,
         case: GeneratedCase,
-    ) -> None:
-        """``TGD-rewrite*`` agrees with ``TGD-rewrite`` (linear theories only).
+        **options,
+    ) -> RewritingResult | None:
+        """An optimised rewriting agrees with ``TGD-rewrite``.
 
+        *options* switch the optimisation on in the engine:
+        ``use_elimination`` (the ``elimination`` oracle, linear theories
+        only) or ``negative_constraints`` (the ``constraints`` oracle).
         Query elimination drops only atoms implied by another atom of the
-        same query (Lemma 8), so the answers on the case instance must not
-        change and the rewriting must not grow past the unmutated
-        ``TGD-rewrite`` size *plain_size*; the eliminated rewriting must
-        also be byte-identical under every compared strategy.
+        same query (Lemma 8); NC pruning drops only CQs embedding a
+        constraint body, which a consistent instance never matches, nor
+        any rewriting of them (§5.1).  So the answers on the case instance
+        must not change and the rewriting must not grow past the
+        unmutated ``TGD-rewrite`` size *plain_size*; the optimised
+        rewriting must also be byte-identical under every compared
+        strategy.  Returns the first strategy's result, or ``None`` when
+        a failure cut the comparison short.
         """
         produced: list[tuple[str, str]] = []
+        first: RewritingResult | None = None
         for name in self._strategies:
             strategy = create_strategy(name)
             try:
-                result = self._rewrite(rules, case.query, strategy, use_elimination=True)
+                result = self._rewrite(rules, case.query, strategy, **options)
             except RewritingBudgetExceeded:
                 verdict.failures.append(
                     OracleFailure(
-                        "elimination",
+                        oracle,
                         f"strategy {name!r} exceeded the rewriting budget "
                         f"({self._max_queries}) that TGD-rewrite met",
                     )
                 )
-                return
+                return None
             finally:
                 strategy.close()
-            if not produced:
+            if first is None:
+                first = result
                 if len(result.ucq) > plain_size:
                     verdict.failures.append(
                         OracleFailure(
-                            "elimination",
-                            f"TGD-rewrite* produced {len(result.ucq)} CQs, "
+                            oracle,
+                            f"{label} produced {len(result.ucq)} CQs, "
                             f"more than TGD-rewrite's {plain_size}",
                         )
                     )
@@ -446,9 +542,9 @@ class DifferentialOracle:
                 if answers != reference_answers:
                     verdict.failures.append(
                         OracleFailure(
-                            "elimination",
+                            oracle,
                             format_answer_diff(
-                                "TGD-rewrite*", answers, "TGD-rewrite", reference_answers
+                                label, answers, "TGD-rewrite", reference_answers
                             ),
                         )
                     )
@@ -456,21 +552,20 @@ class DifferentialOracle:
                 produced.append((name, _canonical_bytes(result)))
             except UnserializableQueryError:
                 verdict.failures.append(
-                    OracleFailure(
-                        "elimination", "TGD-rewrite* rewriting is not serialisable"
-                    )
+                    OracleFailure(oracle, f"{label} rewriting is not serialisable")
                 )
-                return
+                return None
         expected = produced[0][1]
         for name, other in produced[1:]:
             if other != expected:
                 verdict.failures.append(
                     OracleFailure(
-                        "elimination",
-                        f"strategy {name!r} produced a different TGD-rewrite* "
+                        oracle,
+                        f"strategy {name!r} produced a different {label} "
                         f"rewriting than {produced[0][0]!r}",
                     )
                 )
+        return first
 
     def _maintenance_oracle(
         self,

@@ -72,8 +72,17 @@ class Substitution(Mapping[Term, Term]):
         return self._mapping.get(term, term)
 
     def apply_atom(self, atom: Atom) -> Atom:
-        """Image of an atom."""
-        return Atom(atom.predicate, tuple(self.apply_term(t) for t in atom.terms))
+        """Image of an atom: *atom* itself when none of its terms is mapped.
+
+        Atoms are immutable, so handing back the untouched input is safe and
+        saves building and hashing an equal copy — the common case when a
+        unifier or a factorization touches a few atoms of a longer body.
+        """
+        mapping = self._mapping
+        terms = atom.terms
+        if mapping.keys().isdisjoint(terms):
+            return atom
+        return Atom(atom.predicate, tuple([mapping.get(t, t) for t in terms]))
 
     def apply_atoms(self, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         """Image of a sequence of atoms, preserving order."""

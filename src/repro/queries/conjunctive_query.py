@@ -56,20 +56,23 @@ class ConjunctiveQuery:
         answer_terms: Iterable[Term] = (),
         head_name: str = "q",
     ) -> None:
-        deduplicated: list[Atom] = []
-        seen: set[Atom] = set()
-        for atom in body:
-            if atom not in seen:
-                seen.add(atom)
-                deduplicated.append(atom)
-        object.__setattr__(self, "body", tuple(deduplicated))
-        object.__setattr__(self, "answer_terms", tuple(answer_terms))
+        # ``dict.fromkeys`` keeps the first of equal atoms, in order.  The
+        # body's terms are collected at most once, and only when an answer
+        # term is a variable that must occur among them.
+        body = tuple(dict.fromkeys(body))
+        answer_terms = tuple(answer_terms)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "answer_terms", answer_terms)
         object.__setattr__(self, "head_name", head_name)
-        for term in self.answer_terms:
-            if is_variable(term) and term not in atoms_variables(self.body):
-                raise ValueError(
-                    f"answer variable {term!r} does not occur in the query body"
-                )
+        body_terms: set[Term] | None = None
+        for term in answer_terms:
+            if is_variable(term):
+                if body_terms is None:
+                    body_terms = {t for atom in body for t in atom.terms}
+                if term not in body_terms:
+                    raise ValueError(
+                        f"answer variable {term!r} does not occur in the query body"
+                    )
 
     # -- basic accessors -----------------------------------------------------
 

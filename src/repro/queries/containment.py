@@ -36,6 +36,7 @@ observable (and are pinned by the regression tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import AbstractSet, Iterable
 
 from ..logic.atoms import Atom, Predicate
 from ..logic.flat import FlatTarget
@@ -274,12 +275,36 @@ def are_equivalent(query: ConjunctiveQuery, other: ConjunctiveQuery) -> bool:
     return is_contained_in(query, other) and is_contained_in(other, query)
 
 
-def body_maps_into(source: ConjunctiveQuery, target: ConjunctiveQuery) -> bool:
+def body_predicates(atoms: Iterable[Atom]) -> set[Predicate]:
+    """The predicates of *atoms* (the filter sets of :func:`body_maps_into`)."""
+    return {atom.predicate for atom in atoms}
+
+
+def body_maps_into(
+    source,
+    target: ConjunctiveQuery,
+    source_predicates: AbstractSet[Predicate] | None = None,
+    target_predicates: AbstractSet[Predicate] | None = None,
+) -> bool:
     """``True`` iff ``body(source)`` has a homomorphism into ``body(target)``.
 
-    The answer terms are ignored; the terms of *target* are frozen.  This is
-    the check used when pruning queries whose body embeds the body of a
-    negative constraint (Section 5.1).
+    *source* is anything with a ``body`` — a CQ, or a negative constraint
+    when pruning (Section 5.1).  The answer terms are ignored.
+
+    The target is searched as it is, not frozen, and the verdict is the
+    frozen one: the search keys its mapping on source terms only, a source
+    constant must map to itself, and a constant never equals a variable, so
+    the target's variables admit exactly the images the fresh constants of
+    its canonical database would.  Before searching, the predicate filter
+    rejects a pair when some source predicate is missing from the target:
+    that source atom has no candidate, so the search would fail anyway.
+    Callers probing many pairs pass the two predicate sets (see
+    :func:`body_predicates`) instead of having them rebuilt per call.
     """
-    frozen_body, _ = target.freeze()
-    return has_homomorphism(source.body, frozen_body)
+    if source_predicates is None:
+        source_predicates = body_predicates(source.body)
+    if target_predicates is None:
+        target_predicates = body_predicates(target.body)
+    if not source_predicates <= target_predicates:
+        return False
+    return has_homomorphism(source.body, target.body)

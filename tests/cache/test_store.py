@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from repro.cache.fingerprint import theory_fingerprint
 from repro.cache.store import RewritingStore
 from repro.core.rewriter import TGDRewriter
@@ -256,3 +258,35 @@ class TestEliminationStoreBytes:
             assert store.put(query, fingerprint, engine.rewrite(query))
         data = (tmp_path / RewritingStore.FILENAME).read_bytes()
         assert hashlib.sha256(data).hexdigest() == self.P5_NY_STAR_DIGEST
+
+
+class TestNCPruningStoreBytes:
+    """The unfrozen NC check changes no byte of a stored NY rewriting.
+
+    NY runs with NC pruning on and elimination off, so these stores go
+    through the constraint check on every candidate and nothing else of
+    the NY* path.
+    """
+
+    #: sha256 of ``rewritings.jsonl`` after the puts below, taken while the
+    #: check still froze every candidate (same under PYTHONHASHSEED 1 and 2).
+    NY_DIGESTS = {
+        "S": "4424ad1143ed83a91a944f6a8703fe8dc28520a68dc00d8ff0edd3f4a242ff58",
+        "A": "78eea0d7c0520ad95f89f3d8bf6a40ba0589b3e8a2c99e4c8d7a697ba2fa66cf",
+    }
+
+    @pytest.mark.parametrize("name", sorted(NY_DIGESTS))
+    def test_ny_store_digest_is_pinned(self, tmp_path, name):
+        workload = get_workload(name)
+        theory = workload.theory
+        assert theory.negative_constraints
+        fingerprint = theory_fingerprint(
+            theory.tgds, theory.negative_constraints, use_nc_pruning=True
+        )
+        engine = TGDRewriter(theory, use_nc_pruning=True)
+        store = RewritingStore(tmp_path)
+        for query_name in ("q1", "q2", "q3", "q4", "q5"):
+            query = workload.query(query_name)
+            assert store.put(query, fingerprint, engine.rewrite(query))
+        data = (tmp_path / RewritingStore.FILENAME).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.NY_DIGESTS[name]

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core import nc_pruning
 from repro.core.coverage import CoverageChecker
+from repro.core.rewriter import TGDRewriter
 from repro.fuzzing.generator import GeneratorConfig, WorkloadGenerator
 from repro.fuzzing.oracle import (
     DifferentialOracle,
     answer_diff,
+    derive_constraints,
     format_answer_diff,
 )
 from repro.queries.ucq import UnionOfConjunctiveQueries
@@ -94,6 +97,52 @@ class TestEliminationLeg:
                 )
                 return
         pytest.fail("no generated case exposed the planted elimination bug")
+
+
+class TestConstraintLeg:
+    @pytest.mark.parametrize("fragment", ["linear", "sticky", "sticky-join"])
+    def test_fuzz_smoke_cases_prune(self, oracle, fragment):
+        # Table 1 never prunes, so the derived constraints must: the
+        # `make fuzz-smoke` cases (seed 0, five per fragment) do.
+        config = GeneratorConfig(fragment=fragment)
+        pruned = 0
+        for case in WorkloadGenerator(seed=0, config=config).cases(5):
+            verdict = oracle.check(case)
+            assert verdict.ok, verdict.summary()
+            pruned += verdict.pruned_by_constraints
+        assert pruned > 0
+
+    def test_derivation_is_deterministic_and_leaves_the_case_alone(self):
+        generator = WorkloadGenerator(seed=3, config=GeneratorConfig(fragment="sticky"))
+        for index in range(5):
+            case = generator.case(index)
+            facts = sorted(case.instance.facts, key=repr)
+            ucq = TGDRewriter(case.theory.tgds).rewrite(case.query).ucq
+            first = derive_constraints(case, ucq)
+            assert len(first) <= 2
+            assert derive_constraints(case, ucq) == first
+            assert case == generator.case(index)
+            assert sorted(case.instance.facts, key=repr) == facts
+            assert not case.theory.negative_constraints
+
+    def test_predicate_filter_alone_is_caught_by_the_constraint_oracle(self, monkeypatch):
+        # Plant a bug only NC pruning can see: a constraint "embeds" into
+        # any query holding its predicates, joined or not.
+        def predicates_only(source, target, source_predicates, target_predicates):
+            return source_predicates <= target_predicates
+
+        monkeypatch.setattr(nc_pruning, "body_maps_into", predicates_only)
+        oracle = DifferentialOracle(strategies=("sequential",))
+        for fragment in ("linear", "sticky", "sticky-join"):
+            config = GeneratorConfig(fragment=fragment)
+            for case in WorkloadGenerator(seed=42, config=config).cases(20):
+                verdict = oracle.check(case)
+                if not verdict.ok:
+                    assert {f.oracle for f in verdict.failures} == {"constraints"}, (
+                        verdict.summary()
+                    )
+                    return
+        pytest.fail("no generated case exposed the planted pruning bug")
 
 
 class TestOracleConfig:

@@ -41,6 +41,26 @@ class TestApplication:
         substitution = Substitution({X: a, Y: Z})
         assert substitution.apply_atom(Atom.of("r", X, Y)) == Atom.of("r", a, Z)
 
+    def test_apply_atom_keeps_an_untouched_atom(self):
+        atom = Atom.of("r", Y, b)
+        assert Substitution({X: a}).apply_atom(atom) is atom
+        assert EMPTY_SUBSTITUTION.apply_atom(atom) is atom
+
+    def test_apply_atom_builds_a_new_atom_when_a_term_is_mapped(self):
+        atom = Atom.of("r", Y, X)
+        image = Substitution({X: a}).apply_atom(atom)
+        assert image is not atom
+        assert image == Atom.of("r", Y, a)
+        assert hash(image) == hash(Atom.of("r", Y, a))
+
+    @given(atoms_strategy())
+    def test_apply_atom_agrees_with_termwise_image(self, atom):
+        substitution = Substitution({X: a, Y: Z})
+        expected = Atom(atom.predicate, tuple(substitution.apply_term(t) for t in atom.terms))
+        image = substitution.apply_atom(atom)
+        assert image == expected
+        assert (image is atom) == (expected == atom)
+
     def test_apply_atoms_preserves_order(self):
         substitution = Substitution({X: a})
         atoms = (Atom.of("p", X), Atom.of("q", X, Y))

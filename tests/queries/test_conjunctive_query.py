@@ -27,6 +27,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConjunctiveQuery([Atom.of("p", A)], (B,))
 
+    def test_missing_answer_variable_is_rejected_among_several(self):
+        body = [Atom.of("r", A, B), Atom.of("p", C)]
+        for answer in ((A, D), (D, A), (A, b, D), (A, B, C, D)):
+            with pytest.raises(ValueError, match="does not occur"):
+                ConjunctiveQuery(body, answer)
+        assert ConjunctiveQuery(body, (C, a, A, B, A)).answer_terms == (C, a, A, B, A)
+
+    def test_answer_constant_need_not_occur_in_body(self):
+        assert ConjunctiveQuery([Atom.of("p", A)], (b, A)).answer_terms == (b, A)
+
+    def test_duplicates_keep_the_first_occurrence_in_order(self):
+        first, second = Atom.of("r", A, B), Atom.of("p", A)
+        again = Atom.of("r", A, B)
+        query = ConjunctiveQuery([first, second, again, second], (A,))
+        assert query.body == (first, second)
+        assert query.body[0] is first
+
     def test_answer_constants_are_allowed(self):
         query = ConjunctiveQuery([Atom.of("p", A)], (a,))
         assert query.answer_terms == (a,)
